@@ -1,7 +1,7 @@
 GO ?= go
 
 # Hot-path micro-benchmarks (see DESIGN.md "Hot path & concurrency model").
-HOTBENCH = BenchmarkDNSMessagePack|BenchmarkDNSMessageUnpack|BenchmarkMappingMap|BenchmarkAuthorityServeDNS|BenchmarkEndToEndUDP|BenchmarkServerThroughput
+HOTBENCH = BenchmarkDNSMessagePack|BenchmarkDNSMessageUnpack|BenchmarkMappingMap|BenchmarkAuthorityServeDNS|BenchmarkEndToEndUDP
 
 # Serial-vs-parallel simulation benchmarks (see DESIGN.md "Parallel
 # simulation & determinism model"; numbers recorded in BENCH_sim.json).
@@ -60,7 +60,7 @@ race:
 # Chaos harness: the full UDP serving plane under injected packet loss,
 # duplication, reordering, latency jitter, server outages and MapMaker
 # build crashes (see DESIGN.md "Failure model & degradation ladder").
-# -v so the shed/stale/RRL counter log lines land in CI output.
+# -v so the stale/RRL counter log lines land in CI output.
 chaos:
 	$(GO) test -race -v -run 'TestChaos|TestEndToEndThroughFaults' ./internal/faultnet/
 

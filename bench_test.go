@@ -1128,9 +1128,9 @@ func BenchmarkAuthorityServeDNSNoCache(b *testing.B) {
 
 // BenchmarkShardedThroughput sweeps the sharded serving plane over
 // listener-shard counts (SO_REUSEPORT sockets) and syscall batch sizes
-// (recvmmsg/sendmmsg), with per-shard authority answer caches, under the
-// same parallel ping-pong clients as BenchmarkServerThroughput. Beside the
-// qps metric it reports pkts-per-wakeup — packets delivered per receive
+// (recvmmsg/sendmmsg), with per-shard authority answer caches. Each
+// parallel client owns a UDP socket and plays query-response ping-pong;
+// the qps metric is the aggregate rate. Beside it the benchmark reports pkts-per-wakeup — packets delivered per receive
 // syscall return, summed over shards — which is the direct evidence the
 // batched path amortises syscalls (1.0 on the single-packet path).
 // Non-default shard/batch settings are linux-only and skipped elsewhere.
@@ -1239,77 +1239,6 @@ func BenchmarkEndToEndUDP(b *testing.B) {
 		if _, err := c.Lookup(ctx, srv.Addr().String(), "img.cdn.example.net", dnsmsg.TypeA, blk.Prefix); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkServerThroughput compares the server's two dispatch modes under
-// parallel client load: the legacy goroutine-per-packet loop against the
-// pooled reader/worker loop. Each parallel client owns a UDP socket and
-// plays query-response ping-pong; the qps metric is the aggregate rate.
-func BenchmarkServerThroughput(b *testing.B) {
-	l := benchLab(b)
-	sys := mapping.NewSystem(l.World, l.Platform, l.Net, mapping.Config{
-		Policy: mapping.EndUser, PingTargets: 400,
-	})
-	auth, err := authority.New("cdn.example.net", sys)
-	if err != nil {
-		b.Fatal(err)
-	}
-	blk := l.World.Blocks[0]
-
-	for _, tc := range []struct {
-		name string
-		cfg  dnsserver.Config
-	}{
-		{"goroutine-per-packet", dnsserver.Config{GoroutinePerPacket: true}},
-		{"pooled", dnsserver.Config{}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			srv, err := dnsserver.ListenConfig("127.0.0.1:0", auth, tc.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			go func() { _ = srv.Serve() }()
-			defer srv.Close()
-			addr := srv.Addr().String()
-
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				conn, err := net.Dial("udp", addr)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				defer conn.Close()
-				_ = conn.SetDeadline(time.Now().Add(5 * time.Minute))
-				q := dnsmsg.NewQuery(9, "img.cdn.example.net", dnsmsg.TypeA)
-				_ = q.SetClientSubnet(blk.Prefix.Addr(), 24)
-				wire, err := q.Pack()
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				buf := make([]byte, 4096)
-				for pb.Next() {
-					if _, err := conn.Write(wire); err != nil {
-						b.Error(err)
-						return
-					}
-					n, err := conn.Read(buf)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					if n < 12 || buf[0] != wire[0] || buf[1] != wire[1] {
-						b.Error("short or mismatched response")
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "qps")
-		})
 	}
 }
 

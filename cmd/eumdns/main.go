@@ -53,10 +53,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "generation seed")
 	mapRefresh := flag.Duration("map-refresh", 10*time.Second,
 		"MapMaker publish cadence (0 disables the background refresh loop)")
-	queueDepth := flag.Int("queue-depth", 0, "pending-query queue bound (0 = 4x workers)")
-	shed := flag.String("shed", "block", "overload policy when the queue is full: block, drop or refuse")
-	serveDeadline := flag.Duration("serve-deadline", 0,
-		"drop queued queries older than this before serving (0 disables)")
 	rrlRate := flag.Float64("rrl-rate", 0,
 		"response-rate limit per source prefix, responses/second (0 disables)")
 	rrlBurst := flag.Int("rrl-burst", 0, "response-rate limiter burst allowance (0 = default 8)")
@@ -90,9 +86,6 @@ func main() {
 	cfg.Policy = strings.ToLower(*policyName)
 	cfg.World = config.WorldConfig{Seed: *seed, Blocks: *blocks}
 	cfg.Platform = config.PlatformConfig{Seed: *seed, Deployments: *deployments}
-	cfg.QueueDepth = *queueDepth
-	cfg.ShedPolicy = *shed
-	cfg.ServeDeadlineMillis = int(serveDeadline.Milliseconds())
 	cfg.RRLRate = *rrlRate
 	cfg.RRLBurst = *rrlBurst
 	cfg.ListenerShards = *shards

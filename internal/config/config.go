@@ -55,15 +55,6 @@ type Config struct {
 	// its fetch cadence.
 	MapFetchSeconds int `json:"map_fetch_seconds,omitempty"`
 
-	// QueueDepth bounds the DNS server's pending-query queue; 0 keeps the
-	// server default (4x workers).
-	QueueDepth int `json:"queue_depth,omitempty"`
-	// ShedPolicy is what happens to queries arriving while the queue is
-	// full: "block", "drop" or "refuse" (default "block").
-	ShedPolicy string `json:"shed_policy,omitempty"`
-	// ServeDeadlineMillis drops queued queries older than this before
-	// serving them; 0 disables the deadline.
-	ServeDeadlineMillis int `json:"serve_deadline_ms,omitempty"`
 	// RRLRate enables per-source-prefix response-rate limiting at this
 	// many responses per second; 0 disables it.
 	RRLRate float64 `json:"rrl_rate,omitempty"`
@@ -173,7 +164,6 @@ func Default() Config {
 		Policy:              "eu",
 		TTLSeconds:          20,
 		MapRefreshSeconds:   10,
-		ShedPolicy:          "block",
 		StaleMaxAgeSeconds:  30,
 		HealthFlapThreshold: 3,
 		World:               WorldConfig{Seed: 1, Blocks: 8000},
@@ -219,20 +209,11 @@ func (c Config) Validate() error {
 	if c.MapRefreshSeconds < 0 {
 		return fmt.Errorf("config: negative map_refresh_seconds")
 	}
-	if c.QueueDepth < 0 {
-		return fmt.Errorf("config: negative queue_depth")
-	}
 	if c.PartitionMiles < 0 {
 		return fmt.Errorf("config: negative partition_miles (0 disables clustering)")
 	}
 	if err := c.validateLoadKnobs(); err != nil {
 		return err
-	}
-	if _, err := dnsserver.ParseShedPolicy(c.ShedPolicy); err != nil {
-		return fmt.Errorf("config: shed_policy: %w", err)
-	}
-	if c.ServeDeadlineMillis < 0 {
-		return fmt.Errorf("config: negative serve_deadline_ms")
 	}
 	if c.RRLRate < 0 {
 		return fmt.Errorf("config: negative rrl_rate")
@@ -448,17 +429,9 @@ func (c Config) MappingPolicy() (mapping.Policy, error) {
 	return 0, fmt.Errorf("config: unknown policy %q (want ns, eu, or cans)", c.Policy)
 }
 
-// ServerConfig translates the serving-plane knobs into a dnsserver.Config
-// (concurrency fields left at server defaults).
+// ServerConfig translates the serving-plane knobs into a dnsserver.Config.
 func (c Config) ServerConfig() (dnsserver.Config, error) {
-	shed, err := dnsserver.ParseShedPolicy(c.ShedPolicy)
-	if err != nil {
-		return dnsserver.Config{}, fmt.Errorf("config: shed_policy: %w", err)
-	}
 	return dnsserver.Config{
-		QueueDepth:     c.QueueDepth,
-		OnOverload:     shed,
-		ServeDeadline:  time.Duration(c.ServeDeadlineMillis) * time.Millisecond,
 		RRLRate:        c.RRLRate,
 		RRLBurst:       c.RRLBurst,
 		ListenerShards: c.ListenerShards,

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"eum/internal/dnsserver"
 	"eum/internal/mapping"
 )
 
@@ -90,9 +89,6 @@ func TestValidateErrors(t *testing.T) {
 		{"site-bad-index", func(c *Config) {
 			c.Sites = []SiteConfig{{Host: "n.cdn.example.net", Addr: "10.0.0.1", DeploymentIndex: 10_000}}
 		}},
-		{"negative-queue-depth", func(c *Config) { c.QueueDepth = -1 }},
-		{"bad-shed-policy", func(c *Config) { c.ShedPolicy = "panic" }},
-		{"negative-serve-deadline", func(c *Config) { c.ServeDeadlineMillis = -5 }},
 		{"negative-rrl-rate", func(c *Config) { c.RRLRate = -1 }},
 		{"rrl-rate-above-1e9", func(c *Config) { c.RRLRate = 2e9; c.RRLBurst = 8 }},
 		{"negative-rrl-burst", func(c *Config) { c.RRLBurst = -1 }},
@@ -307,9 +303,6 @@ func TestLoadMissingFile(t *testing.T) {
 
 func TestServingKnobsTranslate(t *testing.T) {
 	cfg := Default()
-	cfg.QueueDepth = 128
-	cfg.ShedPolicy = "refuse"
-	cfg.ServeDeadlineMillis = 250
 	cfg.RRLRate = 20
 	cfg.RRLBurst = 5
 	cfg.StaleMaxAgeSeconds = 45
@@ -320,12 +313,6 @@ func TestServingKnobsTranslate(t *testing.T) {
 	sc, err := cfg.ServerConfig()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sc.QueueDepth != 128 || sc.OnOverload != dnsserver.ShedRefuse {
-		t.Errorf("server config = %+v", sc)
-	}
-	if sc.ServeDeadline != 250*time.Millisecond {
-		t.Errorf("serve deadline = %v", sc.ServeDeadline)
 	}
 	if sc.RRLRate != 20 || sc.RRLBurst != 5 {
 		t.Errorf("rrl = %v/%d", sc.RRLRate, sc.RRLBurst)
@@ -410,14 +397,14 @@ func TestLoadSignalConfigTranslate(t *testing.T) {
 
 func TestDefaultServingKnobs(t *testing.T) {
 	cfg := Default()
-	if cfg.StaleMaxAgeSeconds != 30 || cfg.HealthFlapThreshold != 3 || cfg.ShedPolicy != "block" {
+	if cfg.StaleMaxAgeSeconds != 30 || cfg.HealthFlapThreshold != 3 {
 		t.Errorf("defaults = %+v", cfg)
 	}
 	sc, err := cfg.ServerConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.OnOverload != dnsserver.ShedBlock || sc.RRLRate != 0 {
+	if sc.RRLRate != 0 {
 		t.Errorf("default server config = %+v", sc)
 	}
 }

@@ -1,15 +1,17 @@
 //go:build linux && (amd64 || arm64)
 
-// Batched UDP I/O: recvmmsg/sendmmsg through raw syscalls, so one reader
-// wakeup drains up to BatchSize datagrams and one writer flush sends up to
-// BatchSize responses — amortising the dominant remaining per-query cost
-// (syscall entry/exit) once the hot path itself is allocation-free.
+// Raw Linux socket syscalls. Batched UDP I/O with recvmmsg/sendmmsg: one
+// loop wakeup drains up to BatchSize datagrams and one flush sends up to
+// BatchSize responses, amortising the dominant remaining per-query cost
+// (syscall entry/exit) once the hot path itself is allocation-free. And
+// the SO_MEMINFO read behind the per-shard receive-queue series.
 //
-// The syscalls run non-blocking (MSG_DONTWAIT) inside RawConn.Read/Write
-// callbacks: returning false from the callback parks the goroutine on the
-// runtime poller until the socket is ready again, which keeps deadline
-// semantics intact — Server.Close's SetReadDeadline(now) still wakes a
-// reader parked here, exactly as it wakes one parked in ReadFromUDPAddrPort.
+// The batch syscalls run non-blocking (MSG_DONTWAIT) inside RawConn.Read/
+// Write callbacks: returning false from the callback parks the goroutine
+// on the runtime poller until the socket is ready again, which keeps
+// deadline semantics intact — Server.Close's SetReadDeadline(now) still
+// wakes a loop parked here, exactly as it wakes one parked in
+// ReadFromUDPAddrPort.
 //
 // The stdlib syscall package predates these calls on some architectures,
 // so the syscall numbers are pinned per-arch in batch_sysnum_*.go rather
@@ -19,11 +21,13 @@
 package dnsserver
 
 import (
-	"net"
 	"net/netip"
 	"syscall"
 	"unsafe"
 )
+
+// errNoBatchIO is nil: this platform has recvmmsg/sendmmsg.
+var errNoBatchIO error
 
 // mmsghdr mirrors the kernel's struct mmsghdr: a msghdr plus the number of
 // bytes the kernel transferred for that message. The trailing pad keeps
@@ -34,16 +38,14 @@ type mmsghdr struct {
 	_   [4]byte
 }
 
-// slots is one owner's set of mmsghdr scatter/gather state: hdrs[i] points
-// at names[i] (the peer sockaddr) and iovs[i] (one datagram buffer). Recv
-// slots belong to exactly one reader goroutine and send slots to the
-// shard's writer goroutine, so none of this needs locking.
+// slots is one serve loop's mmsghdr scatter/gather state: hdrs[i] points
+// at names[i] (the peer sockaddr) and iovs[i] (one datagram buffer). A
+// loop receives and then sends through the same slots, one after the
+// other, so none of this needs locking.
 type slots struct {
 	hdrs  []mmsghdr
 	iovs  []syscall.Iovec
 	names []syscall.RawSockaddrInet6 // large enough for both families
-	// bufs pins the Go buffer each iov points into (recv side only).
-	bufs []*[]byte
 }
 
 func newSlots(k int) *slots {
@@ -51,7 +53,6 @@ func newSlots(k int) *slots {
 		hdrs:  make([]mmsghdr, k),
 		iovs:  make([]syscall.Iovec, k),
 		names: make([]syscall.RawSockaddrInet6, k),
-		bufs:  make([]*[]byte, k),
 	}
 	for i := range s.hdrs {
 		s.hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&s.names[i]))
@@ -61,37 +62,15 @@ func newSlots(k int) *slots {
 	return s
 }
 
-// batchIO is a shard's batched-syscall state over one UDP socket.
-type batchIO struct {
-	rc syscall.RawConn
-	k  int
-	// send is the writer goroutine's slot set. Readers build their own
-	// slot sets locally (there may be several reader goroutines).
-	send *slots
-}
-
-// newBatchIO prepares batched I/O over conn with batches of k datagrams.
-func newBatchIO(conn *net.UDPConn, k int) (*batchIO, error) {
-	rc, err := conn.SyscallConn()
-	if err != nil {
-		return nil, err
-	}
-	return &batchIO{rc: rc, k: k, send: newSlots(k)}, nil
-}
-
-// recvBatch drains up to k datagrams in one recvmmsg, delivering each to
-// sh.enqueue in arrival order. It blocks (on the runtime poller, not in
-// the syscall) until at least one datagram is available, the read deadline
-// expires, or the socket closes. Returns the number delivered; n == 0 with
-// err == nil means a signal interrupted the call — the caller just retries.
-func (b *batchIO) recvBatch(sh *shard, s *slots) (int, error) {
-	for i := 0; i < b.k; i++ {
-		if s.bufs[i] == nil {
-			bp := sh.bufPool.Get().(*[]byte)
-			s.bufs[i] = bp
-			s.iovs[i].Base = &(*bp)[0]
-			s.iovs[i].Len = uint64(len(*bp))
-		}
+// recv drains up to len(s.hdrs) datagrams into bufs in one recvmmsg and
+// describes each in in, in arrival order. It blocks (on the runtime
+// poller, not in the syscall) until at least one datagram is available,
+// the read deadline expires, or the socket closes. n == 0 with err == nil
+// means a signal interrupted the call — the caller just retries.
+func (s *slots) recv(rc syscall.RawConn, bufs [][]byte, in []datagram) (int, error) {
+	for i := range s.hdrs {
+		s.iovs[i].Base = &bufs[i][0]
+		s.iovs[i].Len = uint64(len(bufs[i]))
 		// The kernel overwrites these per call; reset so a short sockaddr
 		// from the previous batch can't leak into this one.
 		s.hdrs[i].hdr.Namelen = uint32(unsafe.Sizeof(s.names[i]))
@@ -99,9 +78,9 @@ func (b *batchIO) recvBatch(sh *shard, s *slots) (int, error) {
 	}
 	var n int
 	var errno syscall.Errno
-	err := b.rc.Read(func(fd uintptr) bool {
+	err := rc.Read(func(fd uintptr) bool {
 		r1, _, e := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&s.hdrs[0])), uintptr(b.k),
+			uintptr(unsafe.Pointer(&s.hdrs[0])), uintptr(len(s.hdrs)),
 			uintptr(syscall.MSG_DONTWAIT), 0, 0)
 		if e == syscall.EAGAIN {
 			return false // park on the poller until readable
@@ -119,32 +98,29 @@ func (b *batchIO) recvBatch(sh *shard, s *slots) (int, error) {
 		return 0, errno
 	}
 	for i := 0; i < n; i++ {
-		bp := s.bufs[i]
-		s.bufs[i] = nil
-		sh.enqueue(bp, int(s.hdrs[i].n), decodeSockaddr(&s.names[i]))
+		in[i] = datagram{bufs[i][:s.hdrs[i].n], decodeSockaddr(&s.names[i])}
 	}
 	return n, nil
 }
 
-// sendBatch flushes the pending responses with sendmmsg, returning how
-// many datagrams were handed to the kernel. A datagram the kernel rejects
-// outright (unreachable peer, oversized) is skipped so the rest of the
-// batch still goes out.
-func (b *batchIO) sendBatch(pend []outPacket) int {
-	k := len(pend)
-	for i := 0; i < k; i++ {
-		wire := *pend[i].buf
-		b.send.iovs[i].Base = &wire[0]
-		b.send.iovs[i].Len = uint64(len(wire))
-		b.send.hdrs[i].hdr.Namelen = encodeSockaddr(&b.send.names[i], pend[i].raddr)
-		b.send.hdrs[i].n = 0
+// send flushes out with sendmmsg. A datagram the kernel rejects outright
+// (unreachable peer, oversized) is skipped so the rest of the batch still
+// goes out.
+func (s *slots) send(rc syscall.RawConn, out []datagram) {
+	k := len(out)
+	for i, d := range out {
+		s.iovs[i].Base = &d.b[0]
+		s.iovs[i].Len = uint64(len(d.b))
+		s.hdrs[i].hdr.Namelen = encodeSockaddr(&s.names[i], d.peer)
+		s.hdrs[i].n = 0
 	}
-	sent := 0
 	off := 0
-	_ = b.rc.Write(func(fd uintptr) bool {
+	// The error is the socket closing, which only Close does, after
+	// every loop has returned.
+	_ = rc.Write(func(fd uintptr) bool {
 		for off < k {
 			r1, _, e := syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&b.send.hdrs[off])), uintptr(k-off),
+				uintptr(unsafe.Pointer(&s.hdrs[off])), uintptr(k-off),
 				uintptr(syscall.MSG_DONTWAIT), 0, 0)
 			switch {
 			case e == syscall.EAGAIN:
@@ -155,12 +131,39 @@ func (b *batchIO) sendBatch(pend []outPacket) int {
 				off++ // first datagram failed: skip it, keep the rest moving
 			default:
 				off += int(r1)
-				sent += int(r1)
 			}
 		}
 		return true
 	})
-	return sent
+}
+
+// soMeminfo is SOL_SOCKET option SO_MEMINFO, which the stdlib syscall
+// package does not export: 55 on every Linux ABI this file builds for.
+// The kernel fills an array of skMeminfoVars uint32s, indexed by the
+// SK_MEMINFO_* constants.
+const (
+	soMeminfo          = 55
+	skMeminfoVars      = 9
+	skMeminfoRmemAlloc = 0
+	skMeminfoDrops     = 8
+)
+
+// sockMeminfo reads the socket's receive-queue bytes (SK_MEMINFO_RMEM_ALLOC)
+// and its count of datagrams dropped on a full receive buffer
+// (SK_MEMINFO_DROPS). It runs at scrape time, never on the serve path.
+func sockMeminfo(rc syscall.RawConn) (bytes, drops uint64, ok bool) {
+	var mem [skMeminfoVars]uint32
+	size := uint32(unsafe.Sizeof(mem))
+	var errno syscall.Errno
+	err := rc.Control(func(fd uintptr) {
+		_, _, errno = syscall.Syscall6(syscall.SYS_GETSOCKOPT, fd,
+			syscall.SOL_SOCKET, soMeminfo,
+			uintptr(unsafe.Pointer(&mem[0])), uintptr(unsafe.Pointer(&size)), 0)
+	})
+	if err != nil || errno != 0 {
+		return 0, 0, false
+	}
+	return uint64(mem[skMeminfoRmemAlloc]), uint64(mem[skMeminfoDrops]), true
 }
 
 // decodeSockaddr converts a kernel-written sockaddr to a netip.AddrPort,

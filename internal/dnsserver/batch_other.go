@@ -4,26 +4,24 @@ package dnsserver
 
 import (
 	"errors"
-	"net"
+	"syscall"
 )
 
-// batchIO is the portable stub: platforms without recvmmsg/sendmmsg
-// wiring never construct one, so the batched read/write loops are
-// unreachable and exist only to satisfy the compiler.
-type batchIO struct{}
+// errNoBatchIO reports that batching is unavailable. Config validation in
+// internal/config rejects batch_size > 1 off Linux before a server is
+// built; this error covers direct API users with the same guidance.
+var errNoBatchIO = errors.New("dnsserver: batched I/O (BatchSize > 1) requires linux on amd64 or arm64; set BatchSize to 1")
 
-// slots is unused on the portable path.
+// slots is the portable stub: servers here never batch, so its methods
+// are unreachable and exist only to satisfy the compiler.
 type slots struct{}
 
 func newSlots(k int) *slots { return &slots{} }
 
-// newBatchIO reports that batching is unavailable. Config validation in
-// internal/config rejects batch_size > 1 off Linux before a server is
-// built; this error covers direct API users with the same guidance.
-func newBatchIO(conn *net.UDPConn, k int) (*batchIO, error) {
-	return nil, errors.New("dnsserver: batched I/O (BatchSize > 1) requires linux on amd64 or arm64; set BatchSize to 1")
-}
+func (s *slots) recv(rc syscall.RawConn, bufs [][]byte, in []datagram) (int, error) { return 0, nil }
 
-func (b *batchIO) recvBatch(sh *shard, s *slots) (int, error) { return 0, nil }
+func (s *slots) send(rc syscall.RawConn, out []datagram) {}
 
-func (b *batchIO) sendBatch(pend []outPacket) int { return 0 }
+// sockMeminfo reports that SO_MEMINFO is unavailable, so no receive-queue
+// series are exported.
+func sockMeminfo(rc syscall.RawConn) (bytes, drops uint64, ok bool) { return 0, 0, false }

@@ -10,11 +10,13 @@
 // queries per second platform-wide) and is sharded shared-nothing: the
 // server runs N listener shards, each owning its own UDP socket (bound
 // with SO_REUSEPORT on Linux so the kernel fans flows out across the
-// sockets by 4-tuple hash), its own buffer pools, bounded work queue,
-// worker goroutines and response-rate-limiter table. No mutable state is
-// shared between shards on the hot path — only the monotone aggregate
+// sockets by 4-tuple hash) and response-rate-limiter table. Each shard
+// runs identical run-to-completion loops over its socket: a loop reads a
+// datagram, answers it inline and writes the answer before it reads
+// again, so the kernel socket buffer is the only queue. No mutable state
+// is shared between shards on the hot path — only the monotone aggregate
 // counters in Metrics, which tolerate contention by construction. On
-// Linux a shard can additionally drain and flush up to Config.BatchSize
+// Linux a loop can additionally drain and flush up to Config.BatchSize
 // datagrams per syscall via recvmmsg/sendmmsg (see batch_linux.go), with
 // a portable single-packet fallback everywhere else.
 package dnsserver
@@ -27,6 +29,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"eum/internal/dnsmsg"
@@ -63,6 +66,17 @@ type ShardAware interface {
 	ServeDNSShard(shard int, remote netip.AddrPort, query *dnsmsg.Message) *dnsmsg.Message
 }
 
+// shardHandler pins a ShardAware handler to one shard, so a shard's loops
+// call one Handler whichever kind the server was given.
+type shardHandler struct {
+	h  ShardAware
+	id int
+}
+
+func (h shardHandler) ServeDNS(remote netip.AddrPort, q *dnsmsg.Message) *dnsmsg.Message {
+	return h.h.ServeDNSShard(h.id, remote, q)
+}
+
 // Metrics counts server activity, aggregated across all shards. All fields
 // are updated atomically and may be read at any time. These counters are
 // the one piece of cross-shard shared state: they are monotone counters
@@ -72,18 +86,13 @@ type ShardAware interface {
 type Metrics struct {
 	// Queries is the number of well-formed queries received.
 	Queries atomic.Uint64
-	// Responses is the number of responses sent.
+	// Responses is the number of responses written to the socket,
+	// including the rare write the kernel refuses.
 	Responses atomic.Uint64
 	// Malformed is the number of datagrams that failed to parse.
 	Malformed atomic.Uint64
 	// Dropped is the number of queries the handler chose not to answer.
 	Dropped atomic.Uint64
-	// Shed is the number of datagrams rejected at enqueue because the
-	// pending-work queue was full (ShedDrop and ShedRefuse policies).
-	Shed atomic.Uint64
-	// DeadlineDrops is the number of queued queries discarded because they
-	// aged past the serve deadline before a worker picked them up.
-	DeadlineDrops atomic.Uint64
 	// RateLimited is the number of queries suppressed by response-rate
 	// limiting (see Config.RRLRate).
 	RateLimited atomic.Uint64
@@ -100,10 +109,8 @@ type Metrics struct {
 type ShardMetrics struct {
 	// Queries is the number of well-formed queries this shard received.
 	Queries atomic.Uint64
-	// Responses is the number of responses this shard sent.
+	// Responses is the number of responses this shard wrote.
 	Responses atomic.Uint64
-	// Shed is the number of datagrams this shard rejected at enqueue.
-	Shed atomic.Uint64
 	// RateLimited is the number of queries this shard's RRL suppressed.
 	RateLimited atomic.Uint64
 	// Wakeups counts receive syscall returns that delivered >= 1 packet.
@@ -120,57 +127,9 @@ type ShardStats struct {
 	Shard          int
 	Queries        uint64
 	Responses      uint64
-	Shed           uint64
 	RateLimited    uint64
 	Wakeups        uint64
 	BatchedPackets uint64
-	// QueueLen is the instantaneous depth of the shard's work queue.
-	QueueLen int
-}
-
-// ShedPolicy selects what happens to a datagram that arrives while the
-// pending-work queue is full — the server's explicit overload posture.
-type ShedPolicy int
-
-const (
-	// ShedBlock: readers block until a worker frees a slot. Backpressure
-	// lands in the kernel socket buffer, which drops datagrams silently
-	// once it fills. This is the legacy default.
-	ShedBlock ShedPolicy = iota
-	// ShedDrop: the datagram is discarded immediately and counted, keeping
-	// readers draining the socket so the kernel buffer holds fresh traffic
-	// instead of a stale backlog.
-	ShedDrop
-	// ShedRefuse: as ShedDrop, but well-formed queries get a minimal
-	// REFUSED response so resolvers fail over to another authority at once
-	// instead of timing out.
-	ShedRefuse
-)
-
-// String names the policy (the inverse of ParseShedPolicy).
-func (p ShedPolicy) String() string {
-	switch p {
-	case ShedBlock:
-		return "block"
-	case ShedDrop:
-		return "drop"
-	case ShedRefuse:
-		return "refuse"
-	}
-	return fmt.Sprintf("ShedPolicy(%d)", int(p))
-}
-
-// ParseShedPolicy maps a config/flag string to a ShedPolicy.
-func ParseShedPolicy(s string) (ShedPolicy, error) {
-	switch s {
-	case "", "block":
-		return ShedBlock, nil
-	case "drop":
-		return ShedDrop, nil
-	case "refuse":
-		return ShedRefuse, nil
-	}
-	return 0, fmt.Errorf("dnsserver: unknown shed policy %q (want block, drop or refuse)", s)
 }
 
 // maxAdvertisedUDPSize caps the EDNS UDP payload size the server honours.
@@ -183,53 +142,26 @@ const maxAdvertisedUDPSize = 4096
 const maxPacketSize = 65535
 
 // maxBatchSize bounds Config.BatchSize: beyond 64 datagrams per syscall
-// the syscall amortisation has flattened while the per-shard slot memory
-// (BatchSize full-size read buffers pinned per reader) keeps growing.
+// the syscall amortisation has flattened while the per-loop memory
+// (BatchSize full-size read buffers) keeps growing.
 const maxBatchSize = 64
 
-// Config tunes the server's concurrency model. The zero value selects the
-// pooled defaults. Reader/worker/queue knobs are per shard.
+// Config tunes the server. The zero value selects the defaults.
 type Config struct {
 	// ListenerShards is the number of shared-nothing listener shards.
 	// ListenConfig binds each shard its own SO_REUSEPORT socket so the
 	// kernel spreads flows across them. Default: GOMAXPROCS on Linux
 	// (where SO_REUSEPORT exists), 1 elsewhere. Values > 1 require Linux
 	// when sockets are bound by this package; NewConns accepts any number
-	// of caller-supplied conns on any platform.
+	// of caller-supplied conns on any platform. Each shard runs
+	// max(1, GOMAXPROCS/ListenerShards) serve loops over its socket.
 	ListenerShards int
-	// BatchSize is the number of datagrams a shard may drain or flush per
-	// syscall using recvmmsg/sendmmsg. 1 (the default) selects the
+	// BatchSize is the number of datagrams a serve loop may drain or flush
+	// per syscall using recvmmsg/sendmmsg. 1 (the default) selects the
 	// portable single-packet path. Values > 1 require Linux on amd64 or
 	// arm64 and a real UDP socket; injected non-UDP conns (faultnet
 	// wrappers) silently fall back to the single-packet path.
 	BatchSize int
-	// Readers is the number of goroutines blocked reading each shard's
-	// socket. More than one keeps the socket drained while packets are
-	// being dispatched. Default 2 for a single unbatched shard (the
-	// legacy layout); 1 per shard otherwise — a sharded or batched plane
-	// gets its parallelism from shards, not stacked readers.
-	Readers int
-	// Workers is the number of handler goroutines draining each shard's
-	// packet queue. Mapping decisions are CPU-bound, so the default is
-	// GOMAXPROCS divided across the shards (at least 1).
-	Workers int
-	// QueueDepth bounds each shard's pending-packet channel. When the
-	// queue is full, readers block — backpressure lands in the kernel
-	// socket buffer, which sheds load by dropping datagrams (the correct
-	// behaviour for DNS over UDP). Default 4x Workers.
-	QueueDepth int
-	// GoroutinePerPacket restores the legacy spawn-per-datagram serve
-	// loop. It exists so benchmarks can compare the pooled loop against
-	// the old model; production servers should leave it false.
-	GoroutinePerPacket bool
-	// OnOverload selects what happens to datagrams arriving while the
-	// queue is full. Default ShedBlock (kernel-buffer backpressure).
-	OnOverload ShedPolicy
-	// ServeDeadline bounds how long a query may wait in the queue before a
-	// worker starts on it; overdue queries are dropped (DeadlineDrops), on
-	// the theory that the resolver has already retried or failed over and
-	// a late answer only wastes a worker. Zero disables the deadline.
-	ServeDeadline time.Duration
 	// RRLRate enables response-rate limiting when positive: each source
 	// prefix (IPv4 /24, IPv6 /56) is allowed this many responses per
 	// second, smoothed by a token-bucket (GCRA) with RRLBurst tolerance.
@@ -257,22 +189,6 @@ func (c Config) withDefaults() Config {
 	if c.BatchSize > maxBatchSize {
 		c.BatchSize = maxBatchSize
 	}
-	if c.Readers <= 0 {
-		if c.ListenerShards > 1 || c.BatchSize > 1 {
-			c.Readers = 1
-		} else {
-			c.Readers = 2
-		}
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0) / c.ListenerShards
-		if c.Workers < 1 {
-			c.Workers = 1
-		}
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.Workers
-	}
 	if c.RRLBurst <= 0 {
 		c.RRLBurst = 8
 	}
@@ -282,56 +198,35 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// packet is one received datagram travelling from a reader to a worker.
-// buf is a pooled full-size buffer (passed by pointer so re-pooling it
-// does not re-box the slice header); the datagram occupies (*buf)[:n].
-// enq is the enqueue instant (unix nanoseconds), stamped only when a serve
-// deadline is configured.
-type packet struct {
-	buf   *[]byte
-	n     int
-	raddr netip.AddrPort
-	enq   int64
+// datagram is one received query or one answer to send: its wire bytes
+// and the peer it came from or goes to.
+type datagram struct {
+	b    []byte
+	peer netip.AddrPort
 }
 
-// outPacket is one response datagram travelling from a worker to a shard's
-// batching writer. buf is a pooled wire buffer owned by the writer from
-// enqueue until it is re-pooled after the send.
-type outPacket struct {
-	buf   *[]byte
-	raddr netip.AddrPort
-}
-
-// shard is one shared-nothing serving unit: a socket, its pools, its work
-// queue, its RRL table and its counters. Nothing in here is touched by any
-// other shard.
+// shard is one shared-nothing serving unit: a socket, its RRL table and
+// its counters. Nothing in here is touched by any other shard.
 type shard struct {
 	id  int
 	srv *Server
+	// handler is the server's handler, pinned to this shard when it is
+	// ShardAware.
+	handler Handler
 
 	conn net.PacketConn
 	// udpConn is conn when it is a *net.UDPConn, enabling the
-	// allocation-free ReadFromUDPAddrPort/WriteToUDPAddrPort pair and the
-	// batched recvmmsg/sendmmsg path.
+	// allocation-free ReadFromUDPAddrPort/WriteToUDPAddrPort pair, the
+	// batched recvmmsg/sendmmsg path and the SO_MEMINFO scrape through rc.
 	udpConn *net.UDPConn
+	rc      syscall.RawConn
+	// batched selects recvmmsg/sendmmsg for this shard's loops.
+	batched bool
 
 	// rrl is this shard's response-rate limiter, nil unless Config.RRLRate
 	// is positive. Per shard by design: the kernel's REUSEPORT hash pins a
 	// flow to one shard, so accounting stays coherent without sharing.
 	rrl *rateLimiter
-
-	// queue is the bounded reader->worker channel, created at construction
-	// so its depth can be exported as a gauge before Serve runs.
-	queue chan packet
-	// out is the worker->writer channel for batched sends, nil when the
-	// shard is on the synchronous single-packet write path.
-	out chan outPacket
-	// batch is the platform recvmmsg/sendmmsg state, nil when unbatched.
-	batch *batchIO
-
-	bufPool  sync.Pool // *[]byte, len maxPacketSize
-	packPool sync.Pool // *[]byte, len 0: response wire buffers
-	msgPool  sync.Pool // *dnsmsg.Message: recycled query messages
 
 	// Stats counts this shard's activity.
 	Stats ShardMetrics
@@ -339,32 +234,29 @@ type shard struct {
 
 // Server is a UDP DNS server over one or more listener shards.
 type Server struct {
-	handler Handler
-	// sharded is handler when it implements ShardAware, resolved once at
-	// construction so the hot path pays a nil check, not a type assert.
-	sharded ShardAware
-	cfg     Config
-	shards  []*shard
-	// latency, when non-nil, records per-query handler latency (unpack
-	// through response write). Set by RegisterMetrics before Serve.
+	cfg    Config
+	shards []*shard
+	// loops is the number of serve loops per shard.
+	loops int
+	// latency, when non-nil, records per-query handler latency. Set by
+	// RegisterMetrics before Serve.
 	latency *telemetry.Histogram
 
 	// Metrics exposes live counters aggregated across shards.
 	Metrics Metrics
 
-	mu     sync.Mutex
-	closed bool
-	wg     sync.WaitGroup // the serve loops and their in-flight packets
+	closed atomic.Bool
+	wg     sync.WaitGroup // Serve, until every loop has drained
 }
 
 // Listen binds a UDP socket on addr (e.g. "127.0.0.1:0") and returns a
-// server with default pooled concurrency, ready to Serve. The handler must
+// server with the default configuration, ready to Serve. The handler must
 // not be nil.
 func Listen(addr string, h Handler) (*Server, error) {
 	return ListenConfig(addr, h, Config{})
 }
 
-// ListenConfig is Listen with an explicit concurrency configuration. With
+// ListenConfig is Listen with an explicit configuration. With
 // ListenerShards > 1 it binds one SO_REUSEPORT socket per shard on the
 // same address, so the kernel fans incoming flows out across the shards;
 // that path requires Linux.
@@ -446,34 +338,32 @@ func newConns(conns []net.PacketConn, h Handler, cfg Config) (*Server, error) {
 	if h == nil {
 		return nil, errors.New("dnsserver: nil handler")
 	}
-	s := &Server{handler: h, cfg: cfg}
-	s.sharded, _ = h.(ShardAware)
+	// Mapping decisions are CPU-bound, so the shards share GOMAXPROCS
+	// loops between them.
+	s := &Server{cfg: cfg, loops: max(1, runtime.GOMAXPROCS(0)/len(conns))}
+	sharded, _ := h.(ShardAware)
 	s.shards = make([]*shard, len(conns))
 	for i, conn := range conns {
-		sh := &shard{id: i, srv: s, conn: conn}
+		sh := &shard{id: i, srv: s, handler: h, conn: conn}
+		if sharded != nil {
+			sh.handler = shardHandler{sharded, i}
+		}
 		sh.udpConn, _ = conn.(*net.UDPConn)
+		if sh.udpConn != nil {
+			rc, err := sh.udpConn.SyscallConn()
+			if err != nil {
+				return nil, fmt.Errorf("dnsserver: %w", err)
+			}
+			sh.rc = rc
+			if cfg.BatchSize > 1 {
+				if errNoBatchIO != nil {
+					return nil, errNoBatchIO
+				}
+				sh.batched = true
+			}
+		}
 		if cfg.RRLRate > 0 {
 			sh.rrl = newRateLimiter(cfg.RRLRate, cfg.RRLBurst, cfg.RRLSlip)
-		}
-		sh.queue = make(chan packet, cfg.QueueDepth)
-		sh.bufPool.New = func() any {
-			b := make([]byte, maxPacketSize)
-			return &b
-		}
-		sh.packPool.New = func() any {
-			b := make([]byte, 0, maxAdvertisedUDPSize)
-			return &b
-		}
-		sh.msgPool.New = func() any { return &dnsmsg.Message{} }
-		if cfg.BatchSize > 1 && sh.udpConn != nil {
-			b, err := newBatchIO(sh.udpConn, cfg.BatchSize)
-			if err != nil {
-				return nil, err
-			}
-			sh.batch = b
-			// Sized so every worker can park a response and the writer a
-			// full batch without the workers stalling on a healthy writer.
-			sh.out = make(chan outPacket, cfg.BatchSize+cfg.Workers)
 		}
 		s.shards[i] = sh
 	}
@@ -499,268 +389,124 @@ func (s *Server) ShardStats() []ShardStats {
 			Shard:          i,
 			Queries:        sh.Stats.Queries.Load(),
 			Responses:      sh.Stats.Responses.Load(),
-			Shed:           sh.Stats.Shed.Load(),
 			RateLimited:    sh.Stats.RateLimited.Load(),
 			Wakeups:        sh.Stats.Wakeups.Load(),
 			BatchedPackets: sh.Stats.BatchedPackets.Load(),
-			QueueLen:       len(sh.queue),
 		}
 	}
 	return out
 }
 
-// Serve runs every shard's serve loop until the server is closed,
-// dispatching queries to each shard's worker pool (or, in legacy mode, one
-// goroutine per packet). Serve returns nil after Close.
+// Serve runs every shard's serve loops until the server is closed and
+// every loop has answered what it read. Serve returns nil after Close.
 func (s *Server) Serve() error {
-	// Close waits on wg, so it does not return until queued packets have
-	// drained and every worker on every shard has exited.
 	s.wg.Add(1)
 	defer s.wg.Done()
-	errs := make(chan error, len(s.shards))
-	var shards sync.WaitGroup
+	errs := make(chan error, len(s.shards)*s.loops)
+	var loops sync.WaitGroup
 	for _, sh := range s.shards {
-		shards.Add(1)
-		go func(sh *shard) {
-			defer shards.Done()
-			if s.cfg.GoroutinePerPacket {
-				errs <- sh.servePerPacket()
-			} else {
+		for i := 0; i < s.loops; i++ {
+			loops.Add(1)
+			go func() {
+				defer loops.Done()
 				errs <- sh.serve()
-			}
-		}(sh)
-	}
-	shards.Wait()
-	var firstErr error
-	for range s.shards {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = err
+			}()
 		}
 	}
-	return firstErr
+	loops.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// serve is one shard's pooled serve loop: readers feed the bounded queue,
-// workers drain it, and (in batch mode) a writer goroutine flushes
-// responses with sendmmsg.
+// serve is one run-to-completion serve loop over the shard's socket: it
+// reads a datagram (batched: up to BatchSize of them in one recvmmsg),
+// answers each inline, and writes the answers (batched: in one sendmmsg)
+// before it reads again. The loop owns its read buffers, its query
+// message and its pack buffers, so nothing is pooled or handed between
+// goroutines. It returns nil once Close has woken it.
 func (sh *shard) serve() error {
-	cfg := sh.srv.cfg
-
-	var workers sync.WaitGroup
-	for i := 0; i < cfg.Workers; i++ {
-		workers.Add(1)
-		go func() {
-			defer workers.Done()
-			for pkt := range sh.queue {
-				if pkt.enq != 0 && time.Now().UnixNano()-pkt.enq > int64(cfg.ServeDeadline) {
-					// The query aged out in the queue: the resolver has
-					// retried or failed over by now, so a late answer only
-					// wastes the worker.
-					sh.srv.Metrics.DeadlineDrops.Add(1)
-				} else {
-					sh.handlePacket(pkt.raddr, (*pkt.buf)[:pkt.n])
-				}
-				sh.bufPool.Put(pkt.buf)
-			}
-		}()
+	k := 1
+	var mm *slots
+	if sh.batched {
+		k = sh.srv.cfg.BatchSize
+		mm = newSlots(k)
 	}
-
-	var writer sync.WaitGroup
-	if sh.out != nil {
-		writer.Add(1)
-		go func() {
-			defer writer.Done()
-			sh.writeLoop()
-		}()
+	bufs := make([][]byte, k)
+	out := make([]datagram, k)
+	for i := range bufs {
+		bufs[i] = make([]byte, maxPacketSize)
+		out[i].b = make([]byte, 0, maxAdvertisedUDPSize)
 	}
-
-	var readers sync.WaitGroup
-	errs := make(chan error, cfg.Readers)
-	for i := 0; i < cfg.Readers; i++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			if sh.batch != nil {
-				errs <- sh.readLoopBatch()
-			} else {
-				errs <- sh.readLoop()
-			}
-		}()
-	}
-	readers.Wait()
-	close(sh.queue)
-	workers.Wait()
-	if sh.out != nil {
-		close(sh.out)
-		writer.Wait()
-	}
-
-	var firstErr error
-	for i := 0; i < cfg.Readers; i++ {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// readLoop pulls datagrams off the socket into pooled buffers until the
-// socket errors (normally: is closed). It returns nil on clean shutdown.
-func (sh *shard) readLoop() error {
+	in := make([]datagram, k)
+	var query dnsmsg.Message
 	for {
-		bp := sh.bufPool.Get().(*[]byte)
-		n, raddr, err := sh.readFrom(*bp)
+		n, err := sh.recv(mm, bufs, in)
 		if err != nil {
-			sh.bufPool.Put(bp)
-			if sh.srv.isClosed() {
+			if sh.srv.closed.Load() {
 				return nil
 			}
 			return fmt.Errorf("dnsserver: read: %w", err)
 		}
-		if !raddr.IsValid() {
-			sh.bufPool.Put(bp)
+		if n == 0 {
 			continue
 		}
 		sh.Stats.Wakeups.Add(1)
-		sh.Stats.BatchedPackets.Add(1)
-		sh.enqueue(bp, n, raddr)
-	}
-}
-
-// readLoopBatch is readLoop over recvmmsg: each wakeup drains up to
-// BatchSize datagrams in one syscall. Each reader goroutine owns its own
-// slot set, so multiple batch readers never share scatter/gather state.
-func (sh *shard) readLoopBatch() error {
-	slots := newSlots(sh.srv.cfg.BatchSize)
-	for {
-		n, err := sh.batch.recvBatch(sh, slots)
-		if err != nil {
-			if sh.srv.isClosed() {
-				return nil
-			}
-			return fmt.Errorf("dnsserver: recvmmsg: %w", err)
-		}
-		if n > 0 {
-			sh.Stats.Wakeups.Add(1)
-			sh.Stats.BatchedPackets.Add(uint64(n))
-		}
-	}
-}
-
-// enqueue hands one received datagram to the shard's workers, applying the
-// configured overload posture when the queue is full. It owns bp and
-// either forwards it or re-pools it.
-func (sh *shard) enqueue(bp *[]byte, n int, raddr netip.AddrPort) {
-	cfg := sh.srv.cfg
-	pkt := packet{buf: bp, n: n, raddr: raddr}
-	if cfg.ServeDeadline > 0 {
-		pkt.enq = time.Now().UnixNano()
-	}
-	if cfg.OnOverload == ShedBlock {
-		sh.queue <- pkt
-		return
-	}
-	select {
-	case sh.queue <- pkt:
-	default:
-		// Queue full: shed here, explicitly and counted, instead of
-		// letting the backlog smear into the kernel buffer. The reader
-		// goes straight back to the socket, so it keeps draining fresh
-		// traffic.
-		sh.srv.Metrics.Shed.Add(1)
-		sh.Stats.Shed.Add(1)
-		if cfg.OnOverload == ShedRefuse {
-			sh.refuse(raddr, (*bp)[:n])
-		}
-		sh.bufPool.Put(bp)
-	}
-}
-
-// writeLoop is the batch writer: it blocks for one response, then
-// opportunistically drains more without blocking, and flushes the batch
-// with one sendmmsg. Under load batches fill toward BatchSize; idle, each
-// response leaves immediately — batching never adds latency.
-func (sh *shard) writeLoop() {
-	pend := make([]outPacket, 0, sh.srv.cfg.BatchSize)
-	for {
-		p, ok := <-sh.out
-		if !ok {
-			return
-		}
-		pend = append(pend[:0], p)
-	drain:
-		for len(pend) < cap(pend) {
-			select {
-			case p, ok := <-sh.out:
-				if !ok {
-					break drain
-				}
-				pend = append(pend, p)
-			default:
-				break drain
+		sh.Stats.BatchedPackets.Add(uint64(n))
+		m := 0
+		for _, d := range in[:n] {
+			if wire, ok := sh.answer(&query, d, out[m].b[:0]); ok {
+				out[m] = datagram{wire, d.peer} // keeps any growth for reuse
+				m++
 			}
 		}
-		sent := sh.batch.sendBatch(pend)
-		sh.srv.Metrics.Responses.Add(uint64(sent))
-		sh.Stats.Responses.Add(uint64(sent))
-		for i := range pend {
-			*pend[i].buf = (*pend[i].buf)[:0] // keep growth for reuse
-			sh.packPool.Put(pend[i].buf)
-			pend[i].buf = nil
-		}
+		// Counted before the write, so a client holding an answer never
+		// reads a counter that has not counted it yet.
+		sh.srv.Metrics.Responses.Add(uint64(m))
+		sh.Stats.Responses.Add(uint64(m))
+		sh.send(mm, out[:m])
 	}
 }
 
-// refuse answers a shed datagram with a minimal REFUSED response, so the
-// resolver fails over to another authority immediately instead of burning
-// its timeout. Runs on the shed path only; allocations are acceptable.
-func (sh *shard) refuse(raddr netip.AddrPort, pkt []byte) {
-	query := sh.msgPool.Get().(*dnsmsg.Message)
-	defer sh.msgPool.Put(query)
-	if err := dnsmsg.UnpackInto(query, pkt); err != nil || query.Response {
-		return
+// recv fills in with the next datagrams off the socket, one per call
+// unless mm selects recvmmsg. n == 0 with a nil error means nothing
+// usable arrived (a signal, or a peer address that did not parse).
+func (sh *shard) recv(mm *slots, bufs [][]byte, in []datagram) (int, error) {
+	if mm != nil {
+		return mm.recv(sh.rc, bufs, in)
 	}
-	resp := query.Reply()
-	resp.RCode = dnsmsg.RCodeRefused
-	wire, err := resp.Pack()
-	if err != nil {
-		return
+	n, peer, err := sh.readFrom(bufs[0])
+	if err != nil || !peer.IsValid() {
+		return 0, err
 	}
-	if sh.writeTo(wire, raddr) == nil {
-		sh.srv.Metrics.Responses.Add(1)
-		sh.Stats.Responses.Add(1)
-	}
+	in[0] = datagram{bufs[0][:n], peer}
+	return 1, nil
 }
 
-// servePerPacket is the legacy serve loop: one buffer copy and one spawned
-// goroutine per datagram. Kept for baseline comparison benchmarks.
-func (sh *shard) servePerPacket() error {
-	buf := make([]byte, maxPacketSize)
-	for {
-		n, raddr, err := sh.readFrom(buf)
-		if err != nil {
-			if sh.srv.isClosed() {
-				return nil
-			}
-			return fmt.Errorf("dnsserver: read: %w", err)
+// send writes the answers, in one sendmmsg when mm is set. A write the
+// kernel refuses loses that answer only, as a lossy path would: the
+// client retries.
+func (sh *shard) send(mm *slots, out []datagram) {
+	if mm != nil {
+		mm.send(sh.rc, out)
+		return
+	}
+	for _, d := range out {
+		if sh.udpConn != nil {
+			_, _ = sh.udpConn.WriteToUDPAddrPort(d.b, d.peer)
+		} else {
+			_, _ = sh.conn.WriteTo(d.b, net.UDPAddrFromAddrPort(d.peer))
 		}
-		if !raddr.IsValid() {
-			continue
-		}
-		sh.Stats.Wakeups.Add(1)
-		sh.Stats.BatchedPackets.Add(1)
-		pkt := make([]byte, n)
-		copy(pkt, buf[:n])
-		sh.srv.wg.Add(1)
-		go func() {
-			defer sh.srv.wg.Done()
-			sh.handlePacket(raddr, pkt)
-		}()
 	}
 }
 
 // readFrom reads one datagram, preferring the AddrPort-returning UDP path
-// that avoids a net.Addr allocation per packet.
+// that avoids a net.Addr allocation per packet (send does the same for
+// writes).
 func (sh *shard) readFrom(buf []byte) (int, netip.AddrPort, error) {
 	if sh.udpConn != nil {
 		return sh.udpConn.ReadFromUDPAddrPort(buf)
@@ -773,51 +519,55 @@ func (sh *shard) readFrom(buf []byte) (int, netip.AddrPort, error) {
 	return n, raddr, nil
 }
 
-// writeTo sends one response datagram synchronously.
-func (sh *shard) writeTo(wire []byte, raddr netip.AddrPort) error {
-	if sh.udpConn != nil {
-		_, err := sh.udpConn.WriteToUDPAddrPort(wire, raddr)
-		return err
+// rcvQueue reads the shard socket's receive-queue bytes and the count of
+// datagrams the kernel dropped because that queue was full (SO_MEMINFO).
+// ok is false off Linux and for injected non-UDP conns.
+func (sh *shard) rcvQueue() (bytes, drops uint64, ok bool) {
+	if sh.rc == nil {
+		return 0, 0, false
 	}
-	_, err := sh.conn.WriteTo(wire, net.UDPAddrFromAddrPort(raddr))
-	return err
+	return sockMeminfo(sh.rc)
 }
 
-func (s *Server) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-func (sh *shard) handlePacket(raddr netip.AddrPort, pkt []byte) {
+// answer serves one query datagram: unpack into q, response-rate limit,
+// the handler under panic recovery, then the answer packed into wire
+// (empty, reused) within the client's UDP payload size. ok is false when
+// nothing goes back: a malformed datagram, a limited query that does not
+// slip, or a query the handler drops.
+func (sh *shard) answer(q *dnsmsg.Message, d datagram, wire []byte) ([]byte, bool) {
 	s := sh.srv
-	query := sh.msgPool.Get().(*dnsmsg.Message)
-	defer sh.msgPool.Put(query)
-	if err := dnsmsg.UnpackInto(query, pkt); err != nil || query.Response {
+	if err := dnsmsg.UnpackInto(q, d.b); err != nil || q.Response {
 		s.Metrics.Malformed.Add(1)
-		return
+		return nil, false
 	}
 	s.Metrics.Queries.Add(1)
 	sh.Stats.Queries.Add(1)
-	if sh.rrl != nil && !sh.rrl.allow(raddr.Addr(), time.Now().UnixNano()) {
+	if sh.rrl != nil && !sh.rrl.allow(d.peer.Addr(), time.Now().UnixNano()) {
 		s.Metrics.RateLimited.Add(1)
 		sh.Stats.RateLimited.Add(1)
-		if sh.rrl.shouldSlip() {
-			sh.slip(raddr, query)
+		if !sh.rrl.shouldSlip() {
+			return nil, false
 		}
-		return
+		// Slip: a minimal TC=1 response with no records steers a
+		// legitimate client behind the limited prefix to retry over TCP,
+		// where the handshake verifies its source address.
+		s.Metrics.Slips.Add(1)
+		slip := q.Reply()
+		slip.Truncated = true
+		wire, err := slip.AppendPack(wire)
+		return wire, err == nil
 	}
 	var startNs int64
 	if s.latency != nil {
 		startNs = time.Now().UnixNano()
 	}
-	resp := sh.safeServe(raddr, query)
+	resp := safeServe(sh.handler, &s.Metrics, d.peer, q)
 	if s.latency != nil {
 		s.latency.ObserveNanos(time.Now().UnixNano() - startNs)
 	}
 	if resp == nil {
 		s.Metrics.Dropped.Add(1)
-		return
+		return nil, false
 	}
 	// Respect the client's advertised UDP payload size (512 octets for
 	// non-EDNS queries, RFC 1035), clamped to maxAdvertisedUDPSize per
@@ -825,84 +575,25 @@ func (sh *shard) handlePacket(raddr netip.AddrPort, pkt []byte) {
 	// oversized answers are truncated with TC=1 so the client retries
 	// over TCP.
 	maxSize := 512
-	if query.EDNS {
-		maxSize = int(query.UDPSize)
-		if maxSize < 512 {
-			maxSize = 512
-		}
-		if maxSize > maxAdvertisedUDPSize {
-			maxSize = maxAdvertisedUDPSize
-		}
+	if q.EDNS {
+		maxSize = min(max(int(q.UDPSize), 512), maxAdvertisedUDPSize)
 	}
-	wp := sh.packPool.Get().(*[]byte)
-	wire, err := TruncateAppend((*wp)[:0], resp, maxSize)
+	out, err := TruncateAppend(wire, resp, maxSize)
 	if err != nil {
 		// A handler bug; answer SERVFAIL so the client doesn't hang.
-		servfail := query.Reply()
+		servfail := q.Reply()
 		servfail.RCode = dnsmsg.RCodeServerFailure
-		if wire, err = servfail.AppendPack((*wp)[:0]); err != nil {
+		if out, err = servfail.AppendPack(wire); err != nil {
 			s.Metrics.Dropped.Add(1)
-			*wp = (*wp)[:0]
-			sh.packPool.Put(wp)
-			return
+			return nil, false
 		}
 	}
-	if sh.out != nil {
-		// Batched path: hand buffer ownership to the writer, which
-		// re-pools it after the sendmmsg flush.
-		*wp = wire
-		sh.out <- outPacket{buf: wp, raddr: raddr}
-		return
-	}
-	*wp = wire[:0] // keep any growth for the next response
-	if err := sh.writeTo(wire, raddr); err == nil {
-		s.Metrics.Responses.Add(1)
-		sh.Stats.Responses.Add(1)
-	}
-	sh.packPool.Put(wp)
-}
-
-// safeServe invokes the handler — through ServeDNSShard when the handler
-// is shard-aware — converting a panic into a SERVFAIL response: one
-// misbehaving query must not take down the serve loop.
-func (sh *shard) safeServe(raddr netip.AddrPort, query *dnsmsg.Message) (resp *dnsmsg.Message) {
-	s := sh.srv
-	defer func() {
-		if p := recover(); p != nil {
-			s.Metrics.HandlerPanics.Add(1)
-			r := query.Reply()
-			r.RCode = dnsmsg.RCodeServerFailure
-			resp = r
-		}
-	}()
-	if s.sharded != nil {
-		return s.sharded.ServeDNSShard(sh.id, raddr, query)
-	}
-	return s.handler.ServeDNS(raddr, query)
-}
-
-// slip answers a rate-limited query with a minimal TC=1 response: no
-// records, just the truncation bit, steering a legitimate client behind
-// the offending prefix to retry over TCP (where its source address is
-// verified by the handshake). Runs on the limited path only.
-func (sh *shard) slip(raddr netip.AddrPort, query *dnsmsg.Message) {
-	resp := query.Reply()
-	resp.Truncated = true
-	wire, err := resp.Pack()
-	if err != nil {
-		return
-	}
-	if sh.writeTo(wire, raddr) == nil {
-		sh.srv.Metrics.Slips.Add(1)
-		sh.srv.Metrics.Responses.Add(1)
-		sh.Stats.Responses.Add(1)
-	}
+	return out, true
 }
 
 // safeServe invokes the handler, converting a panic into a SERVFAIL
-// response: one misbehaving query must not take down the serve loop (or, in
-// goroutine-per-packet mode, the process). Used by the TCP server, which
-// has no shards.
+// response: one misbehaving query must not take down the serve loop. The
+// UDP shards and the TCP server both serve through it.
 func safeServe(h Handler, m *Metrics, raddr netip.AddrPort, query *dnsmsg.Message) (resp *dnsmsg.Message) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -915,23 +606,18 @@ func safeServe(h Handler, m *Metrics, raddr netip.AddrPort, query *dnsmsg.Messag
 	return h.ServeDNS(raddr, query)
 }
 
-// Close shuts the server down gracefully: every shard's readers are woken
-// and stop accepting new datagrams, queued and in-flight queries drain
-// through the workers (their responses still go out), and only then are
-// the sockets closed. Late datagrams arriving during the drain stay in the
-// kernel buffers and die with the sockets.
+// Close shuts the server down gracefully: every loop is woken and stops
+// reading, the datagrams loops have already read are answered (their
+// responses still go out), and only then are the sockets closed. Late
+// datagrams still queued in the kernel buffers die with the sockets.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if s.closed.Swap(true) {
 		return nil
 	}
-	s.closed = true
-	s.mu.Unlock()
-	// A read deadline in the past wakes every reader blocked on its socket
-	// — including readers parked in recvmmsg via RawConn.Read, which
-	// honours deadlines — without tearing down the socket, so workers can
-	// still write responses for queries already accepted.
+	// A read deadline in the past wakes every loop blocked on its socket
+	// — including loops parked in recvmmsg via RawConn.Read, which
+	// honours deadlines — without tearing down the socket, so loops can
+	// still write responses for queries already read.
 	for _, sh := range s.shards {
 		_ = sh.conn.SetReadDeadline(time.Now())
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"net/netip"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -231,5 +232,54 @@ func TestClientContextCancel(t *testing.T) {
 	}
 	if time.Since(start) > 2*time.Second {
 		t.Error("context cancellation not honoured promptly")
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds, whose detector adds
+// allocations of its own.
+var raceEnabled bool
+
+// TestServeLoopAllocs pins the serve loop's heap allocations per query:
+// 1000 ping-pong queries through one loopback shard whose handler returns
+// a preallocated reply, so the count covers read, unpack, pack and write
+// (the client's connected-socket Write and Read allocate nothing). The
+// budget is the reader/queue/worker loop this loop replaced, measured the
+// same way: 5.00-5.02 mallocs per query (7.09-7.17 under -race). All five
+// are dnsmsg's (question name, OPT rdata, pack); the loop adds none.
+func TestServeLoopAllocs(t *testing.T) {
+	const queries = 1000
+	budget := 5.02
+	if raceEnabled {
+		budget = 7.10
+	}
+	reply := dnsmsg.NewQuery(1, "alloc.example.net", dnsmsg.TypeA).Reply()
+	s := startConfigServer(t, HandlerFunc(func(netip.AddrPort, *dnsmsg.Message) *dnsmsg.Message {
+		return reply
+	}), Config{ListenerShards: 1})
+	conn, err := net.Dial("udp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetReadDeadline(time.Now().Add(time.Minute))
+	wire, _ := dnsmsg.NewQuery(9, "alloc.example.net", dnsmsg.TypeA).Pack()
+	buf := make([]byte, 512)
+	pingPong := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := conn.Write(wire); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Read(buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pingPong(100) // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pingPong(queries)
+	runtime.ReadMemStats(&after)
+	if got := float64(after.Mallocs-before.Mallocs) / queries; got > budget {
+		t.Errorf("serve loop = %.3f mallocs/query, budget %.2f", got, budget)
 	}
 }

@@ -3,14 +3,17 @@ package dnsserver
 import (
 	"net"
 	"net/netip"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"eum/internal/dnsmsg"
+	"eum/internal/telemetry"
 )
 
-// gatedHandler blocks every query on release, so tests can pin workers and
-// fill the queue deterministically.
+// gatedHandler blocks every query on release, so tests can pin serve
+// loops and fill the socket buffer deterministically.
 type gatedHandler struct {
 	release chan struct{}
 }
@@ -32,117 +35,80 @@ func startConfigServer(t *testing.T, h Handler, cfg Config) *Server {
 	return s
 }
 
-// floodUntil sends packed queries from conn until cond holds or the
-// deadline passes, reporting whether cond held.
-func floodUntil(t *testing.T, conn net.Conn, wire []byte, cond func() bool) bool {
+// waitUntil polls cond until it holds, failing the test after 5 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		for i := 0; i < 16; i++ {
-			if _, err := conn.Write(wire); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if cond() {
-			return true
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return cond()
 }
 
-func TestShedDropCountsOverflow(t *testing.T) {
+// TestRcvQueueAccountsEveryDatagram: the kernel socket buffer is the
+// serve loops' only queue, so every datagram sent is either served or
+// counted by the shard's rcvbuf_drops series — exactly. A gated handler
+// holds every loop of the shard while 2000 queries overflow a small
+// receive buffer; released, the loops drain the buffer (rcvq_bytes back
+// to 0) before Close.
+func TestRcvQueueAccountsEveryDatagram(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("the receive-queue series read SO_MEMINFO, which is linux-only")
+	}
+	const queries = 2000
+	pc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Small enough to overflow within 2000 queries whatever the host's
+	// default buffer size.
+	if err := pc.SetReadBuffer(32 << 10); err != nil {
+		t.Fatal(err)
+	}
 	h := &gatedHandler{release: make(chan struct{})}
-	s := startConfigServer(t, h, Config{
-		Readers: 1, Workers: 1, QueueDepth: 1, OnOverload: ShedDrop,
-	})
-	defer close(h.release)
+	s, err := NewConn(pc, h, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	s.RegisterMetrics(reg)
+	go func() { _ = s.Serve() }()
+	defer s.Close()
+	release := sync.OnceFunc(func() { close(h.release) })
+	defer release() // before Close, which waits for the held loops
 
 	conn, err := net.Dial("udp", s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	wire, _ := dnsmsg.NewQuery(7, "shed.example.net", dnsmsg.TypeA).Pack()
-
-	// One query pins the worker, one fills the queue; everything after
-	// that must be shed rather than queued.
-	if !floodUntil(t, conn, wire, func() bool { return s.Metrics.Shed.Load() >= 1 }) {
-		t.Fatalf("no shedding under sustained overload: shed=%d", s.Metrics.Shed.Load())
-	}
-}
-
-func TestShedRefuseAnswersRefused(t *testing.T) {
-	h := &gatedHandler{release: make(chan struct{})}
-	s := startConfigServer(t, h, Config{
-		Readers: 1, Workers: 1, QueueDepth: 1, OnOverload: ShedRefuse,
-	})
-	defer close(h.release)
-
-	conn, err := net.Dial("udp", s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	wire, _ := dnsmsg.NewQuery(7, "refuse.example.net", dnsmsg.TypeA).Pack()
-	if !floodUntil(t, conn, wire, func() bool { return s.Metrics.Shed.Load() >= 1 }) {
-		t.Fatal("no shedding under sustained overload")
-	}
-
-	// A shed query must have produced a REFUSED response on the wire.
-	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	buf := make([]byte, 512)
-	for {
-		n, err := conn.Read(buf)
-		if err != nil {
-			t.Fatalf("no REFUSED response read: %v", err)
-		}
-		resp, err := dnsmsg.Unpack(buf[:n])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.RCode == dnsmsg.RCodeRefused {
-			if resp.ID != 7 {
-				t.Fatalf("REFUSED response ID = %d, want 7", resp.ID)
-			}
-			return
-		}
-	}
-}
-
-func TestServeDeadlineDropsStaleQueries(t *testing.T) {
-	h := &gatedHandler{release: make(chan struct{})}
-	s := startConfigServer(t, h, Config{
-		Readers: 1, Workers: 1, QueueDepth: 8,
-		ServeDeadline: 20 * time.Millisecond,
-	})
-
-	conn, err := net.Dial("udp", s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	wire, _ := dnsmsg.NewQuery(7, "late.example.net", dnsmsg.TypeA).Pack()
-
-	// Pin the worker, queue a few more queries, and let them age past the
-	// deadline before releasing the worker.
-	for i := 0; i < 6; i++ {
+	wire, _ := dnsmsg.NewQuery(7, "queue.example.net", dnsmsg.TypeA).Pack()
+	for i := 0; i < queries; i++ {
 		if _, err := conn.Write(wire); err != nil {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(100 * time.Millisecond)
-	close(h.release)
-
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if s.Metrics.DeadlineDrops.Load() >= 1 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	waitUntil(t, "every loop to hold a query", func() bool {
+		return s.Metrics.Queries.Load() == uint64(s.loops)
+	})
+	drops := func() uint64 { return reg.Snapshot().Counters["dnsserver_shard0_rcvbuf_drops_total"] }
+	queued := func() float64 { return reg.Snapshot().Gauges["dnsserver_shard0_rcvq_bytes"] }
+	if drops() == 0 || queued() == 0 {
+		t.Fatalf("held loops left drops=%d queued=%.0f bytes, want both > 0", drops(), queued())
 	}
-	t.Fatalf("no deadline drops: drops=%d queries=%d",
-		s.Metrics.DeadlineDrops.Load(), s.Metrics.Queries.Load())
+
+	release()
+	waitUntil(t, "the receive queue to drain", func() bool { return queued() == 0 })
+	dropped := drops()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Metrics.Queries.Load() + dropped; got != queries {
+		t.Errorf("queries %d + rcvbuf drops %d = %d, want exactly %d",
+			s.Metrics.Queries.Load(), dropped, got, queries)
+	}
 }
 
 func TestHandlerPanicAnsweredServfail(t *testing.T) {
@@ -154,7 +120,7 @@ func TestHandlerPanicAnsweredServfail(t *testing.T) {
 		}
 		return q.Reply()
 	})
-	s := startConfigServer(t, h, Config{Readers: 1, Workers: 1})
+	s := startConfigServer(t, h, Config{})
 
 	conn, err := net.Dial("udp", s.Addr().String())
 	if err != nil {
@@ -225,22 +191,5 @@ func TestHandlerPanicTCP(t *testing.T) {
 	}
 	if got := s.Metrics.HandlerPanics.Load(); got != 1 {
 		t.Fatalf("HandlerPanics = %d, want 1", got)
-	}
-}
-
-func TestParseShedPolicy(t *testing.T) {
-	for in, want := range map[string]ShedPolicy{
-		"": ShedBlock, "block": ShedBlock, "drop": ShedDrop, "refuse": ShedRefuse,
-	} {
-		got, err := ParseShedPolicy(in)
-		if err != nil || got != want {
-			t.Errorf("ParseShedPolicy(%q) = %v, %v", in, got, err)
-		}
-		if in != "" && got.String() != in {
-			t.Errorf("String() = %q, want %q", got.String(), in)
-		}
-	}
-	if _, err := ParseShedPolicy("nonsense"); err == nil {
-		t.Error("nonsense policy accepted")
 	}
 }

@@ -195,7 +195,6 @@ func TestShardIndependenceRaceHammer(t *testing.T) {
 		conns[i] = pc
 	}
 	s, err := NewConns(conns, &echoHandler{}, Config{
-		Readers: 1, Workers: 2, QueueDepth: 64,
 		RRLRate: 50, RRLBurst: 8, RRLSlip: -1,
 	})
 	if err != nil {
@@ -299,7 +298,7 @@ func TestShardedGracefulShutdown(t *testing.T) {
 		conns[i] = pc
 	}
 	h := &gatedHandler{release: make(chan struct{})}
-	s, err := NewConns(conns, h, Config{Readers: 1, Workers: 1, QueueDepth: 4})
+	s, err := NewConns(conns, h, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@ package dnsserver
 
 import (
 	"net"
-	"net/netip"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -31,7 +31,7 @@ func TestGracefulShutdown(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	h := &gatedHandler{release: make(chan struct{})}
-	s, err := ListenConfig("127.0.0.1:0", h, Config{Readers: 2, Workers: 2, QueueDepth: 4})
+	s, err := ListenConfig("127.0.0.1:0", h, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,44 +98,68 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestShutdownPerPacketMode: the legacy goroutine-per-packet loop shuts
-// down cleanly too.
-func TestShutdownPerPacketMode(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	h := HandlerFunc(func(_ netip.AddrPort, q *dnsmsg.Message) *dnsmsg.Message {
-		return q.Reply()
-	})
-	s, err := ListenConfig("127.0.0.1:0", h, Config{GoroutinePerPacket: true})
+// TestBatchedCloseDrains: Close while the handler holds the first query
+// of a recvmmsg batch still answers the whole batch. The queries are
+// queued before Serve starts, so one loop's first recvmmsg takes all 8.
+func TestBatchedCloseDrains(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("batched I/O is linux-only")
+	}
+	const queries = 8
+	h := &gatedHandler{release: make(chan struct{})}
+	s, err := ListenConfig("127.0.0.1:0", h, Config{ListenerShards: 1, BatchSize: queries})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serveDone := make(chan struct{})
-	go func() { defer close(serveDone); _ = s.Serve() }()
-
 	conn, err := net.Dial("udp", s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	wire, _ := dnsmsg.NewQuery(6, "pp.example.net", dnsmsg.TypeA).Pack()
-	if _, err := conn.Write(wire); err != nil {
-		t.Fatal(err)
+	for id := uint16(0); id < queries; id++ {
+		wire, _ := dnsmsg.NewQuery(id, "batch.example.net", dnsmsg.TypeA).Pack()
+		if _, err := conn.Write(wire); err != nil {
+			t.Fatal(err)
+		}
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	buf := make([]byte, 512)
-	if _, err := conn.Read(buf); err != nil {
-		t.Fatal(err)
+	serveDone := make(chan struct{})
+	go func() { defer close(serveDone); _ = s.Serve() }()
+	release := sync.OnceFunc(func() { close(h.release) })
+	defer release()
+	waitUntil(t, "one batch of 8 with its first query held", func() bool {
+		st := s.ShardStats()[0]
+		return st.Wakeups == 1 && st.BatchedPackets == queries && st.Queries == 1
+	})
+
+	closeDone := make(chan error, 1)
+	go func() { closeDone <- s.Close() }()
+	select {
+	case <-closeDone:
+		t.Fatal("Close returned while a batch was still being served")
+	case <-time.After(50 * time.Millisecond):
 	}
 
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	release()
+	seen := make(map[uint16]bool)
+	buf := make([]byte, 512)
+	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	for len(seen) < queries {
+		n, err := conn.Read(buf)
+		if err != nil {
+			t.Fatalf("%d of %d batched queries answered: %v", len(seen), queries, err)
+		}
+		resp, err := dnsmsg.Unpack(buf[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[resp.ID] = true
+	}
+	if err := <-closeDone; err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 	select {
 	case <-serveDone:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Serve did not return after Close")
-	}
-	if got := waitGoroutines(baseline); got > baseline+2 {
-		t.Fatalf("goroutines leaked: %d -> %d", baseline, got)
 	}
 }

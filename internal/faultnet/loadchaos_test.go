@@ -77,11 +77,7 @@ func TestLoadChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := inner.LocalAddr().String()
-	srv, err := dnsserver.NewConns([]net.PacketConn{inj.WrapPacketConn(inner)}, auth, dnsserver.Config{
-		Readers: 2, Workers: 4, QueueDepth: 64,
-		OnOverload:    dnsserver.ShedDrop,
-		ServeDeadline: 500 * time.Millisecond,
-	})
+	srv, err := dnsserver.NewConns([]net.PacketConn{inj.WrapPacketConn(inner)}, auth, dnsserver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
